@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"edgeis/internal/edge"
 	"edgeis/internal/loadgen"
 	"edgeis/internal/loadgen/drive"
 )
@@ -80,6 +81,9 @@ func run() error {
 
 	kills, err := parseKills(*killAt)
 	if err != nil {
+		return err
+	}
+	if _, err := edge.AdmissionPolicyByName(*shedPol); err != nil {
 		return err
 	}
 

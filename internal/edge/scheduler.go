@@ -73,9 +73,7 @@ type jobResult struct {
 // queue cannot starve the others.
 type Scheduler struct {
 	workers    int
-	depth      int
 	continuity bool
-	admission  AdmissionPolicy
 	maxBatch   int
 	window     time.Duration
 	dequeue    string
@@ -83,15 +81,9 @@ type Scheduler struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// ring holds the sessions with pending requests in round-robin order.
-	// Dequeueing rotates it: the front session gives up one request and, if
-	// it still has pending work, re-joins at the back. Rotation (rather
-	// than an index walk with removals) is what makes the round-robin
-	// starvation-free: a session with a backlog is served exactly once per
-	// pass over the waiting sessions, and a churn of fresh single-request
-	// sessions joining at the back can never lap it.
-	ring     []*Session
-	queued   int
+	// queue holds admitted requests in per-session lanes (FairQueue owns
+	// the admission verdict and the round-robin ring).
+	queue    *FairQueue[*job]
 	inflight int
 	closed   bool
 
@@ -182,9 +174,8 @@ func NewScheduler(cfg Config) *Scheduler {
 	}
 	s := &Scheduler{
 		workers:    cfg.Workers,
-		depth:      cfg.QueueDepth,
 		continuity: cfg.GuidanceContinuity,
-		admission:  cfg.Admission,
+		queue:      NewFairQueue[*job](cfg.QueueDepth, cfg.Admission),
 		maxBatch:   cfg.Dequeue.MaxBatch(),
 		window:     cfg.Dequeue.Window(),
 		dequeue:    cfg.Dequeue.Name(),
@@ -203,21 +194,7 @@ func NewScheduler(cfg Config) *Scheduler {
 // NewSession registers a client. Sessions created after Close still work as
 // handles, but every Infer through them fails with ErrClosed.
 func (s *Scheduler) NewSession(remote string) *Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	sess := &Session{
-		sched:      s,
-		id:         s.nextID,
-		remote:     remote,
-		started:    time.Now(),
-		continuity: s.continuity,
-	}
-	s.sessions[sess] = struct{}{}
-	if len(s.sessions) > s.peakSess {
-		s.peakSess = len(s.sessions)
-	}
-	return sess
+	return s.addSession(remote, "")
 }
 
 // ResumeSession adopts a session migrating in from another replica: the
@@ -230,10 +207,18 @@ func (s *Scheduler) NewSession(remote string) *Session {
 // pyramid that was never computed also covers a pyramid that is simply on
 // the wrong machine.
 func (s *Scheduler) ResumeSession(key, remote string) *Session {
+	return s.addSession(remote, key)
+}
+
+// addSession registers a fresh session, or an adopted one when key is
+// non-empty.
+func (s *Scheduler) addSession(remote, key string) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	s.resumed++
+	if key != "" {
+		s.resumed++
+	}
 	sess := &Session{
 		sched:      s,
 		id:         s.nextID,
@@ -241,6 +226,7 @@ func (s *Scheduler) ResumeSession(key, remote string) *Session {
 		key:        key,
 		started:    time.Now(),
 		continuity: s.continuity,
+		kf:         segmodel.NewKeyframeStream(s.keyframe),
 	}
 	s.sessions[sess] = struct{}{}
 	if len(s.sessions) > s.peakSess {
@@ -271,9 +257,9 @@ func (s *Scheduler) QueueSnapshot() QueueSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return QueueSnapshot{
-		Queued:   s.queued,
+		Queued:   s.queue.Queued(),
 		InFlight: s.inflight,
-		Depth:    s.depth,
+		Depth:    s.queue.depth,
 		Sessions: len(s.sessions),
 	}
 }
@@ -301,133 +287,62 @@ func (s *Scheduler) countWarped(n int)    { s.warped += n }
 // The keyframe decision is made here, at admission time, because it is the
 // session's only cross-frame state transition and admissions are the
 // arrival order of the session's frames. It happens before the scheduler
-// lock is taken (the decision reads the session's cache under sess.mu,
+// lock is taken (the decision reads the session's stream under sess.mu,
 // which is never held together with s.mu); if the decided request then
-// fails to reach an accelerator, the cache is conservatively invalidated
-// below so no later frame warps from a pyramid that was never computed.
+// fails to reach an accelerator, the stream learns it was lost once the
+// lock is dropped, so no later frame warps from a pyramid that was never
+// computed.
 func (s *Scheduler) infer(sess *Session, in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64, error) {
-	d := sess.decide(s.keyframe, in, g)
+	d := sess.decide(in, g)
 	j := &job{sess: sess, in: in, g: g, class: ClassOf(in, g, d.Keyframe), decision: d,
 		enqueued: time.Now(), done: make(chan jobResult, 1)}
 	s.mu.Lock()
 	if s.closed || sess.closed {
 		s.mu.Unlock()
-		sess.dropCacheFor(d)
+		sess.lost(d)
 		return nil, 0, ErrClosed
 	}
-	// A session is in the ring iff it has pending work; capture that before
-	// the verdict, because a shed can empty pending momentarily without the
-	// session ever leaving the ring.
-	inRing := len(sess.pending) > 0
-	switch s.admission.Admit(s.queued, s.depth, len(sess.pending)) {
+	v, stale := s.queue.Admit(&sess.lane, j)
+	switch v {
 	case VerdictReject:
 		s.countRejected()
 		s.mu.Unlock()
 		sess.noteRejected()
-		sess.dropCacheFor(d)
+		sess.lost(d)
 		return nil, 0, ErrQueueFull
 	case VerdictShedOldest:
-		if len(sess.pending) > 0 {
-			// Displace the session's own oldest queued frame: its waiter
-			// learns it was shed, the fresh frame takes the slot. The
-			// session stays in the ring — its pending list never empties
-			// here because the fresh job is appended below.
-			stale := sess.pending[0]
-			sess.pending = sess.pending[1:]
-			s.queued--
-			s.countShed()
-			//edgeis:lockheld done is buffered (cap 1) and this is its only send, so it cannot block
-			stale.done <- jobResult{err: ErrShed}
-			defer sess.noteShed()
-			// A shed keyframe never reaches an accelerator, so the cached
-			// pyramid any later non-keyframe would warp from does not
-			// exist; invalidate once the lock is dropped.
-			if stale.decision.Keyframe {
-				defer sess.dropCacheFor(stale.decision)
-			}
-		} else {
-			// A policy may only shed the arriving session's own work;
-			// with none queued the verdict degrades to a reject.
-			s.countRejected()
-			s.mu.Unlock()
-			sess.noteRejected()
-			sess.dropCacheFor(d)
-			return nil, 0, ErrQueueFull
-		}
+		// The session's own oldest queued frame was displaced: its waiter
+		// learns it was shed, the fresh frame took the slot.
+		s.countShed()
+		//edgeis:lockheld done is buffered (cap 1) and this is its only send, so it cannot block
+		stale.done <- jobResult{err: ErrShed}
 	}
-	if !inRing {
-		s.ring = append(s.ring, sess)
-	}
-	sess.pending = append(sess.pending, j)
-	s.queued++
-	s.depths.Add(float64(s.queued))
+	s.depths.Add(float64(s.queue.Queued()))
 	s.cond.Signal()
 	s.mu.Unlock()
+	if v == VerdictShedOldest {
+		sess.noteShed()
+		sess.lost(stale.decision)
+	}
 
 	r := <-j.done
 	return r.out, r.inferMs, r.err
-}
-
-// takeHead pops the front session's oldest request under the rotation
-// discipline; the caller holds the lock and has checked the ring is
-// non-empty. The popped job counts as in flight from this moment.
-func (s *Scheduler) takeHead() *job {
-	sess := s.ring[0]
-	s.ring = s.ring[1:]
-	j := sess.pending[0]
-	sess.pending = sess.pending[1:]
-	s.queued--
-	if len(sess.pending) > 0 {
-		// One request per turn: the session rotates to the back of
-		// the ring behind every other waiting session.
-		s.ring = append(s.ring, sess)
-	}
-	s.inflight++
-	return j
-}
-
-// gather extends batch with queued jobs of the same class, scanning the
-// ring in order and taking at most one job per session per call so the
-// batch former cannot out-run round-robin fairness. The caller holds the
-// lock.
-func (s *Scheduler) gather(batch []*job, class BatchClass) []*job {
-	i := 0
-	for len(batch) < s.maxBatch && i < len(s.ring) {
-		sess := s.ring[i]
-		if sess.pending[0].class != class {
-			i++
-			continue
-		}
-		j := sess.pending[0]
-		sess.pending = sess.pending[1:]
-		s.queued--
-		s.inflight++
-		batch = append(batch, j)
-		if len(sess.pending) > 0 {
-			// The session keeps its ring position but contributed its one
-			// job for this pass; move past it.
-			i++
-		} else {
-			s.ring = append(s.ring[:i], s.ring[i+1:]...)
-		}
-	}
-	return batch
 }
 
 // nextBatch blocks until at least one request is available (fair
 // round-robin across sessions) or the scheduler is closed and drained; nil
 // means exit. Under GatherBatch it extends the head job with compatible
 // queued work, holding an underfull batch open for the gather window.
+// Taken jobs count as in flight from the moment they leave the queue.
 func (s *Scheduler) nextBatch() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(s.ring) > 0 {
-			head := s.takeHead()
-			if s.maxBatch <= 1 {
-				return []*job{head}
-			}
-			batch := s.gather([]*job{head}, head.class)
+		if s.queue.Queued() > 0 {
+			head := s.queue.Take()
+			same := func(j *job) bool { return j.class == head.class }
+			batch := s.queue.Gather([]*job{head}, s.maxBatch, same)
+			s.inflight += len(batch)
 			if len(batch) < s.maxBatch && s.window > 0 && !s.closed {
 				// Gather window: hold the underfull batch open so jobs
 				// arriving within the window can ride the same launch. The
@@ -438,7 +353,9 @@ func (s *Scheduler) nextBatch() []*job {
 				s.mu.Unlock()
 				time.Sleep(s.window)
 				s.mu.Lock()
-				batch = s.gather(batch, head.class)
+				taken := len(batch)
+				batch = s.queue.Gather(batch, s.maxBatch, same)
+				s.inflight += len(batch) - taken
 			}
 			return batch
 		}
@@ -471,14 +388,7 @@ func (s *Scheduler) worker(acc Accelerator) {
 
 		outs := make([]*segmodel.Result, len(batch))
 		perMs := make([]float64, len(batch))
-		switch {
-		case len(batch) == 1:
-			if warp {
-				outs[0], perMs[0] = wacc.RunWarped(batch[0].in, batch[0].g, batch[0].decision)
-			} else {
-				outs[0], perMs[0] = acc.Run(batch[0].in, batch[0].g)
-			}
-		case canBatch:
+		if canBatch && len(batch) > 1 {
 			ins := make([]segmodel.Input, len(batch))
 			gs := make([]segmodel.Guidance, len(batch))
 			for i, j := range batch {
@@ -500,9 +410,10 @@ func (s *Scheduler) worker(acc Accelerator) {
 			for i := range perMs {
 				perMs[i] = launchMs
 			}
-		default:
-			// The accelerator cannot batch: serve serially. Correct but
-			// unamortized — batching pays off only with a BatchAccelerator.
+		} else {
+			// One job, or an accelerator that cannot batch: serve serially.
+			// Correct but unamortized — batching pays off only with a
+			// BatchAccelerator.
 			for i, j := range batch {
 				if warp {
 					outs[i], perMs[i] = wacc.RunWarped(j.in, j.g, j.decision)
@@ -553,24 +464,13 @@ func (s *Scheduler) closeSession(sess *Session) {
 	}
 	sess.closed = true
 	delete(s.sessions, sess)
-	if len(sess.pending) == 0 {
-		return
-	}
 	// Fail queued-but-unstarted requests so their waiters unblock; any
 	// already taken onto a worker (alone or in a gathering batch) complete
 	// normally.
-	for _, j := range sess.pending {
-		s.queued--
+	for _, j := range s.queue.Drain(&sess.lane) {
 		s.countCancelled()
 		//edgeis:lockheld done is buffered (cap 1) and this is its only send, so it cannot block
 		j.done <- jobResult{err: ErrClosed}
-	}
-	sess.pending = nil
-	for i, rs := range s.ring {
-		if rs == sess {
-			s.ring = append(s.ring[:i], s.ring[i+1:]...)
-			break
-		}
 	}
 }
 
@@ -580,10 +480,10 @@ func (s *Scheduler) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{
 		Workers:         s.workers,
-		QueueDepth:      s.depth,
-		AdmissionPolicy: s.admission.Name(),
+		QueueDepth:      s.queue.depth,
+		AdmissionPolicy: s.queue.policy.Name(),
 		DequeuePolicy:   s.dequeue,
-		Queued:          s.queued,
+		Queued:          s.queue.Queued(),
 		InFlight:        s.inflight,
 		Served:          s.served,
 		Rejected:        s.rejected,

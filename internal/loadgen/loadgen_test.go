@@ -1,8 +1,10 @@
 package loadgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -30,7 +32,10 @@ func TestRunDeterministic(t *testing.T) {
 
 // TestRunConservationAcrossSuite pins the no-silent-loss law on every named
 // profile: offered == served + rejected + dropped, with nothing negative.
+// Each report must also be byte-identical to the profile's simulator row in
+// the committed BENCH_serving.json.
 func TestRunConservationAcrossSuite(t *testing.T) {
+	committed := committedSimRows(t)
 	for _, p := range Profiles() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
@@ -44,8 +49,51 @@ func TestRunConservationAcrossSuite(t *testing.T) {
 			if slo.Offered == 0 || slo.Served == 0 {
 				t.Fatalf("%s: degenerate run: %+v", p.Name, slo)
 			}
+			want, ok := committed[p.Name]
+			if !ok {
+				t.Fatalf("%s: no sim row in BENCH_serving.json", p.Name)
+			}
+			got, err := json.Marshal(slo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: report differs from BENCH_serving.json:\n got %s\nwant %s", p.Name, got, want)
+			}
 		})
 	}
+}
+
+// committedSimRows reads the simulator rows of the committed
+// BENCH_serving.json, compacted, keyed by profile name.
+func committedSimRows(t *testing.T) map[string][]byte {
+	t.Helper()
+	raw, err := os.ReadFile("../../BENCH_serving.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string][]byte)
+	for _, r := range rep.Results {
+		var id struct{ Profile, Target string }
+		if err := json.Unmarshal(r, &id); err != nil {
+			t.Fatal(err)
+		}
+		if id.Target != "sim" {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		rows[id.Profile] = buf.Bytes()
+	}
+	return rows
 }
 
 // TestRunThousandSessions is the scale demonstration: >=1000 concurrent

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"edgeis/internal/edge"
 	"edgeis/internal/metrics"
 	"edgeis/internal/netsim"
 	"edgeis/internal/segmodel"
@@ -16,8 +17,9 @@ import (
 // explicit reject or latest-wins shedding, fair per-session round-robin
 // dequeue onto the earliest-free accelerator, optional cross-session
 // batching under the gather-window former) and the downlink delivery of
-// results. Nothing reads the wall clock, so a run is a pure function of
-// (Profile, Seed).
+// results. The queue rules are edge.FairQueue's and the keyframe rules
+// segmodel.KeyframeStream's, the same code edge.Scheduler runs. Nothing
+// reads the wall clock, so a run is a pure function of (Profile, Seed).
 
 // evKind tags simulator events.
 type evKind uint8
@@ -63,10 +65,10 @@ type simJob struct {
 	sess     int
 	genAt    float64
 	arriveAt float64
-	// keyframe is the skip-compute classification made at edge admission
-	// (constant true when the profile disables the feature cache); it picks
-	// the inference cost and the batch-compatibility class.
-	keyframe bool
+	// kf is the skip-compute decision made at edge admission (a constant
+	// keyframe when the profile disables the feature cache); it picks the
+	// inference cost and the batch-compatibility class.
+	kf segmodel.KeyframeDecision
 }
 
 // eventHeap is a min-heap on (at, seq).
@@ -94,30 +96,27 @@ type simSession struct {
 	nextGen     int
 	up, down    *netsim.Link
 	outstanding int
-	pending     []*simJob
+	lane        edge.Lane[*simJob]
 	served      int
 	// replica is the edge shard serving the session: rendezvous-placed at
 	// start, re-placed among survivors when its replica dies (-1 once the
 	// whole fleet is dead — further frames drop client-side, the mobile
 	// has nowhere to connect).
 	replica int
-	// kfValid/kfAge mirror the session's edge-side feature cache: valid
-	// after a keyframe decision, aged by each non-keyframe, invalidated when
-	// a decided keyframe is lost before serving (reject or shed) — or when
-	// the session migrates, because the cached pyramid died with the old
-	// replica and the first frame on the new one must be a keyframe.
-	kfValid bool
-	kfAge   int
+	// kf is the session's edge-side keyframe stream. Loadgen frames carry
+	// no geometry, so it decides by the keyframe interval alone; it is
+	// reset when the session migrates, because the cached pyramid died with
+	// the old replica and the first frame on the new one must be a keyframe.
+	kf segmodel.KeyframeStream
 }
 
-// simEdge is one edge replica's state, mirroring edge.Scheduler: rotating
-// ring of sessions with pending work, queued count, per-accelerator busy
-// horizon. staged holds an underfull batch per reserved accelerator during
-// its gather window. gen is the failover generation: a kill bumps it so
-// events addressed to the old incarnation resolve stale.
+// simEdge is one edge replica's state: the admission queue edge.Scheduler
+// runs, and a per-accelerator busy horizon. staged holds an underfull batch
+// per reserved accelerator during its gather window. gen is the failover
+// generation: a kill bumps it so events addressed to the old incarnation
+// resolve stale.
 type simEdge struct {
-	ring      []int
-	queued    int
+	queue     *edge.FairQueue[*simJob]
 	accelIdle []bool
 	busyMs    []float64
 	staged    [][]*simJob
@@ -166,9 +165,14 @@ func (s *sim) alive() []int {
 }
 
 // Run executes the profile on the virtual-time simulator and returns its
-// SLO report. Two calls with the same profile return identical reports.
+// SLO report. Two calls with the same profile return identical reports. It
+// panics if the profile names an unknown ShedPolicy.
 func Run(p Profile) *SLO {
 	p = p.withDefaults()
+	admission, err := edge.AdmissionPolicyByName(p.ShedPolicy)
+	if err != nil {
+		panic("loadgen: " + err.Error())
+	}
 	replicas := p.Replicas
 	if replicas < 1 {
 		replicas = 1
@@ -181,6 +185,7 @@ func Run(p Profile) *SLO {
 	}
 	for r := range s.edges {
 		ed := &simEdge{
+			queue:     edge.NewFairQueue[*simJob](p.QueueDepth, admission),
 			accelIdle: make([]bool, p.Accelerators),
 			busyMs:    make([]float64, p.Accelerators),
 			staged:    make([][]*simJob, p.Accelerators),
@@ -197,6 +202,7 @@ func Run(p Profile) *SLO {
 			arrivals: p.SessionArrivals(i),
 			up:       netsim.NewLink(p.LinkFor(i).NetProfile(), p.Seed+int64(i)*2+1),
 			down:     netsim.NewLink(p.LinkFor(i).NetProfile(), p.Seed+int64(i)*2+2),
+			kf:       segmodel.NewKeyframeStream(segmodel.KeyframePolicy{Interval: p.KeyframeInterval}),
 		}
 		if p.Sharded() {
 			s.sess[i].replica = p.PlaceSession(i, allAlive)
@@ -272,37 +278,10 @@ func (s *sim) countKeyframes(n int) { s.keyframes += n }
 
 func (s *sim) countWarped(n int) { s.warped += n }
 
-// decideKeyframe classifies one arriving frame against the session's
-// feature-cache mirror, in arrival order — the interval-driven half of
-// segmodel.KeyframePolicy.Decide (loadgen frames carry no contours, so the
-// churn trigger never fires). Keyframes refresh the cache, non-keyframes
-// age it.
-func (s *sim) decideKeyframe(ss *simSession) bool {
-	if !s.p.SkipCompute() {
-		return true
-	}
-	if !ss.kfValid || ss.kfAge+1 >= s.p.KeyframeInterval {
-		ss.kfValid, ss.kfAge = true, 0
-		return true
-	}
-	ss.kfAge++
-	return false
-}
-
-// dropKeyframeFor invalidates the session's cache mirror when a decided
-// keyframe is lost before serving: its features were never computed, so
-// the next frame must be a keyframe (edge.Session.dropCacheFor's rule). A
-// lost non-keyframe leaves the cached keyframe intact.
-func (s *sim) dropKeyframeFor(ss *simSession, keyframe bool) {
-	if s.p.SkipCompute() && keyframe {
-		ss.kfValid = false
-	}
-}
-
 // jobCost is the nominal accelerator cost of one job's cost shape.
 func (s *sim) jobCost(j *simJob) float64 {
 	clip := s.sess[j.sess].clip
-	if j.keyframe {
+	if j.kf.Keyframe {
 		return clip.InferMs
 	}
 	return clip.WarpMs
@@ -329,11 +308,11 @@ func (s *sim) generate(e event) {
 		job: &simJob{sess: e.sess, genAt: e.at, arriveAt: e.at + upMs}})
 }
 
-// arrive handles edge admission: a full queue rejects explicitly under the
-// default policy; under latest-wins it sheds the session's own oldest
-// queued frame to admit the fresh one (degrading to reject when the session
-// has nothing queued). An admitted frame joins its session's pending list
-// and the round-robin ring.
+// arrive handles edge admission through the replica's queue: a full queue
+// rejects explicitly under the default policy; under latest-wins it sheds
+// the session's own oldest queued frame to admit the fresh one. A shed or
+// rejected frame's result will never come back, so its outstanding slot
+// frees at once.
 func (s *sim) arrive(e event) {
 	ss := s.sess[e.sess]
 	ed := s.edges[e.replica]
@@ -345,49 +324,32 @@ func (s *sim) arrive(e event) {
 		ss.outstanding--
 		return
 	}
-	// Keyframe classification happens at admission in arrival order,
-	// mirroring edge.Scheduler's decide-before-admission: even a frame the
-	// queue then rejects has advanced the session's cache state.
-	e.job.keyframe = s.decideKeyframe(ss)
-	// Ring membership is decided before any shed mutates pending, exactly
-	// like edge.Scheduler: a latest-wins shed can momentarily empty the
-	// pending list without the session ever leaving the ring.
-	inRing := len(ss.pending) > 0
-	if ed.queued >= s.p.QueueDepth {
-		if s.p.ShedPolicy == "latest-wins" && len(ss.pending) > 0 {
-			// The shed frame's result will never come back, so its
-			// outstanding slot frees immediately; if it was a decided
-			// keyframe, the cache it would have refreshed is gone too.
-			stale := ss.pending[0]
-			ss.pending = ss.pending[1:]
-			ed.queued--
-			s.countShed()
-			ss.outstanding--
-			s.dropKeyframeFor(ss, stale.keyframe)
-		} else {
-			s.countRejected()
-			ss.outstanding--
-			s.dropKeyframeFor(ss, e.job.keyframe)
-			return
-		}
+	// Keyframe classification happens at admission in arrival order, as
+	// in edge.Scheduler: even a frame the queue then rejects has advanced
+	// the session's cache state. Loadgen frames carry no geometry.
+	e.job.kf = ss.kf.Decide(segmodel.Input{}, nil)
+	v, stale := ed.queue.Admit(&ss.lane, e.job)
+	switch v {
+	case edge.VerdictReject:
+		s.countRejected()
+		ss.outstanding--
+		ss.kf.Lost(e.job.kf)
+		return
+	case edge.VerdictShedOldest:
+		s.countShed()
+		ss.outstanding--
+		ss.kf.Lost(stale.kf)
 	}
-	if !inRing {
-		ed.ring = append(ed.ring, e.sess)
-	}
-	ss.pending = append(ss.pending, e.job)
-	ed.queued++
-	s.depths.Add(float64(ed.queued))
+	s.depths.Add(float64(ed.queue.Queued()))
 	s.dispatch(e.at, e.replica)
 }
 
-// dispatch feeds idle accelerators from the round-robin ring, exactly the
-// discipline of edge.Scheduler.next: the front session gives up one
-// request and rotates to the back while it still has pending work, so a
-// backlogged session is served once per pass and can never be lapped by a
-// churn of fresh sessions.
+// dispatch feeds idle accelerators from the replica's queue: each free
+// accelerator takes a batch (one frame under single dequeue) and launches
+// it, or reserves itself for an underfull batch's gather window.
 func (s *sim) dispatch(now float64, r int) {
 	ed := s.edges[r]
-	for ed.queued > 0 {
+	for ed.queue.Queued() > 0 {
 		accel := -1
 		for i, idle := range ed.accelIdle {
 			if idle {
@@ -398,27 +360,7 @@ func (s *sim) dispatch(now float64, r int) {
 		if accel < 0 {
 			return
 		}
-		if s.p.MaxBatch <= 1 {
-			// Single-dequeue path, kept verbatim: the committed baselines
-			// depend on the exact operation and RNG-draw order here.
-			si := ed.ring[0]
-			ed.ring = ed.ring[1:]
-			ss := s.sess[si]
-			j := ss.pending[0]
-			ss.pending = ss.pending[1:]
-			ed.queued--
-			if len(ss.pending) > 0 {
-				ed.ring = append(ed.ring, si)
-			}
-			s.waits.Add(now - j.arriveAt)
-			inferMs := s.jobCost(j) * (1 + 0.08*math.Abs(s.edgeRng.NormFloat64()))
-			ed.accelIdle[accel] = false
-			ed.busyMs[accel] += inferMs
-			s.push(event{at: now + inferMs, kind: evInferDone,
-				replica: r, gen: ed.gen, accel: accel, batch: []*simJob{j}})
-			continue
-		}
-		batch := s.gather(r, nil)
+		batch := s.gather(ed, nil)
 		if len(batch) < s.p.MaxBatch && s.p.BatchWindowMs > 0 {
 			// Underfull: reserve the accelerator for one gather window;
 			// frames arriving meanwhile top the batch up at flush time.
@@ -432,47 +374,21 @@ func (s *sim) dispatch(now float64, r int) {
 	}
 }
 
-// gather forms one batch under the edge's discipline: the ring-front
-// session's oldest job anchors the clip class (rotating to the back while it
-// still has pending work), then one compatible job per ring session joins in
-// ring order, up to MaxBatch. A non-nil seed batch is topped up instead —
-// the flush path after a gather window.
-func (s *sim) gather(r int, batch []*simJob) []*simJob {
-	ed := s.edges[r]
+// gather forms one batch: the queue's next job anchors it, then compatible
+// jobs join up to MaxBatch. A non-nil seed batch is topped up instead —
+// the flush path after a gather window. Compatibility is the clip class and
+// the keyframe class (a full-backbone launch and a cache warp are different
+// cost shapes; with skip-compute off every job is a keyframe, so the test
+// reduces to the clip class).
+func (s *sim) gather(ed *simEdge, batch []*simJob) []*simJob {
 	if len(batch) == 0 {
-		si := ed.ring[0]
-		ed.ring = ed.ring[1:]
-		ss := s.sess[si]
-		batch = append(batch, ss.pending[0])
-		ss.pending = ss.pending[1:]
-		ed.queued--
-		if len(ss.pending) > 0 {
-			ed.ring = append(ed.ring, si)
-		}
+		batch = append(batch, ed.queue.Take())
 	}
-	// The anchor fixes both compatibility keys: clip class and keyframe
-	// class (a full-backbone launch and a cache warp are different cost
-	// shapes; with skip-compute off every job is a keyframe, so the test
-	// reduces to the historical clip-only key).
-	class := s.sess[batch[0].sess].clip.Name
-	kf := batch[0].keyframe
-	for i := 0; i < len(ed.ring) && len(batch) < s.p.MaxBatch; {
-		si := ed.ring[i]
-		ss := s.sess[si]
-		if ss.clip.Name != class || ss.pending[0].keyframe != kf {
-			i++
-			continue
-		}
-		batch = append(batch, ss.pending[0])
-		ss.pending = ss.pending[1:]
-		ed.queued--
-		if len(ss.pending) == 0 {
-			ed.ring = append(ed.ring[:i], ed.ring[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	return batch
+	head := batch[0]
+	class := s.sess[head.sess].clip.Name
+	return ed.queue.Gather(batch, s.p.MaxBatch, func(j *simJob) bool {
+		return s.sess[j.sess].clip.Name == class && j.kf.Keyframe == head.kf.Keyframe
+	})
 }
 
 // launch starts one accelerator pass over a batch: per-job inference costs
@@ -489,8 +405,12 @@ func (s *sim) launch(now float64, r, accel int, batch []*simJob) {
 	batchMs := segmodel.BatchMs(solos)
 	ed.accelIdle[accel] = false
 	ed.busyMs[accel] += batchMs
-	s.batches++
-	s.batchJobs += len(batch)
+	// Batch telemetry only exists under the batch former, as in
+	// edge.Scheduler.
+	if s.p.MaxBatch > 1 {
+		s.batches++
+		s.batchJobs += len(batch)
+	}
 	s.push(event{at: now + batchMs, kind: evInferDone,
 		replica: r, gen: ed.gen, accel: accel, batch: batch})
 }
@@ -512,7 +432,7 @@ func (s *sim) flush(e event) {
 	}
 	batch := ed.staged[e.accel]
 	ed.staged[e.accel] = nil
-	s.launch(e.at, e.replica, e.accel, s.gather(e.replica, batch))
+	s.launch(e.at, e.replica, e.accel, s.gather(ed, batch))
 }
 
 // inferDone frees the accelerator, paces each completed result over its
@@ -550,17 +470,15 @@ func (s *sim) kill(e event) {
 	}
 	ed.dead = true
 	ed.gen++
-	ed.ring = nil
-	ed.queued = 0
 	alive := s.alive()
 	for i, ss := range s.sess {
 		if ss.replica != e.replica {
 			continue
 		}
-		s.countMigrated(len(ss.pending))
-		ss.outstanding -= len(ss.pending)
-		ss.pending = nil
-		ss.kfValid = false
+		lost := len(ed.queue.Drain(&ss.lane))
+		s.countMigrated(lost)
+		ss.outstanding -= lost
+		ss.kf.Reset()
 		if len(alive) == 0 {
 			ss.replica = -1
 			continue
@@ -576,7 +494,7 @@ func (s *sim) deliver(e event) {
 	ss.outstanding--
 	s.countServed(ss)
 	if s.p.SkipCompute() {
-		if e.job.keyframe {
+		if e.job.kf.Keyframe {
 			s.countKeyframes(1)
 		} else {
 			s.countWarped(1)

@@ -104,38 +104,6 @@ type waitingOffload struct {
 	decision segmodel.KeyframeDecision
 }
 
-// keyframeState is the skip-compute decision state a simulated backend owns
-// for its single client stream: the policy plus the stream's feature cache.
-// The engine drives one mobile, so one cache suffices — the multi-session
-// equivalent lives in edge.Session. Decisions must be made in Submit order:
-// Decide is the only place cross-frame cache state advances.
-type keyframeState struct {
-	policy segmodel.KeyframePolicy
-	cache  *segmodel.FeatureCache
-}
-
-// decide classifies one offload, creating the cache on first use. With the
-// policy disabled it returns the constant keyframe decision and never touches
-// the cache, so default runs stay byte-identical to a cache-free build.
-func (k *keyframeState) decide(in segmodel.Input, g segmodel.Guidance) segmodel.KeyframeDecision {
-	if !k.policy.Enabled() {
-		return segmodel.KeyframeDecision{Keyframe: true, Reason: segmodel.KeyDisabled}
-	}
-	if k.cache == nil {
-		k.cache = segmodel.NewFeatureCache()
-	}
-	return k.policy.Decide(k.cache, in, g)
-}
-
-// dropFor invalidates the cache when a decided keyframe is lost to queue
-// overflow before serving — its pyramid was never computed, so later frames
-// must not warp from it. Mirrors edge.Session.dropCacheFor.
-func (k *keyframeState) dropFor(d segmodel.KeyframeDecision) {
-	if d.Keyframe && d.Reason != segmodel.KeyDisabled {
-		k.cache.Invalidate()
-	}
-}
-
 // SimBackend is the simulated edge: an uplink and downlink from netsim and a
 // segmodel edge model, with a bounded latest-wins queue in front of a pool
 // of accelerators (default one). It reproduces the legacy Engine.Run
@@ -156,9 +124,11 @@ type SimBackend struct {
 	maxBatch int
 	// freeAt is the busy horizon of each simulated accelerator; requests are
 	// served FIFO on the earliest-free one (lowest index breaks ties).
-	freeAt   []float64
-	waiting  []waitingOffload
-	keyframe keyframeState
+	freeAt  []float64
+	waiting []waitingOffload
+	// keyframe is the skip-compute state of the backend's single client
+	// stream.
+	keyframe segmodel.KeyframeStream
 	stats    BackendStats
 }
 
@@ -211,7 +181,7 @@ func NewSimBackend(cfg SimBackendConfig) *SimBackend {
 		queueDepth: 1,
 		maxBatch:   cfg.MaxBatch,
 		freeAt:     make([]float64, cfg.Accelerators),
-		keyframe:   keyframeState{policy: cfg.Keyframe},
+		keyframe:   segmodel.NewKeyframeStream(cfg.Keyframe),
 	}
 }
 
@@ -248,22 +218,24 @@ func (b *SimBackend) Submit(req *OffloadRequest, sendAt float64) []ScheduledResu
 	// Classify at submit time, in send order — the decision function is the
 	// only place cross-frame cache state advances. With the policy off the
 	// decision is constant and no model input is built here.
-	d := segmodel.KeyframeDecision{Keyframe: true, Reason: segmodel.KeyDisabled}
-	if b.keyframe.policy.Enabled() {
-		d = b.keyframe.decide(modelInput(b.frames, b.seed, req), req.Guidance)
+	var in segmodel.Input
+	if b.keyframe.Enabled() {
+		in = modelInput(b.frames, b.seed, req)
 	}
+	d := b.keyframe.Decide(in, req.Guidance)
 	upMs := b.uplink.TransferMs(sendAt, req.PayloadBytes)
 	arrive := sendAt + upMs
 	out := b.advance(arrive)
+	item := waitingOffload{arrival: arrive, req: req, decision: d}
 	if accel, free := b.earliestFree(); free <= arrive && len(b.waiting) == 0 {
-		return append(out, b.startInference(req, d, arrive, accel))
+		return append(out, b.startBatch([]waitingOffload{item}, arrive, accel)...)
 	}
-	b.waiting = append(b.waiting, waitingOffload{arrival: arrive, req: req, decision: d})
+	b.waiting = append(b.waiting, item)
 	if len(b.waiting) > b.queueDepth {
 		stale := b.waiting[0]
 		b.waiting = b.waiting[1:]
 		b.stats.CountDropped(1)
-		b.keyframe.dropFor(stale.decision)
+		b.keyframe.Lost(stale.decision)
 	}
 	return out
 }
@@ -288,20 +260,14 @@ func (b *SimBackend) advance(now float64) []ScheduledResult {
 			break
 		}
 		b.waiting = b.waiting[1:]
-		if b.maxBatch <= 1 {
-			// The historical one-job-per-launch path, kept verbatim: its
-			// exact sequence of link and model calls is what the golden
-			// determinism tests pin.
-			out = append(out, b.startInference(item.req, item.decision, start, accel))
-			continue
-		}
 		// Batch former: extend the head with waiting offloads that have
 		// already arrived by the launch instant and share its guidance
 		// class (a guided two-stage pass evaluates a different network
 		// slice than a vanilla one, so the classes never co-batch) and its
 		// keyframe class (a full backbone and a cache warp are different
 		// cost shapes; with the policy off every decision is a keyframe, so
-		// the predicate reduces to the historical guidance-only test).
+		// the predicate reduces to the historical guidance-only test). With
+		// maxBatch 1 the head launches alone.
 		batch := []waitingOffload{item}
 		guided := item.req.Guidance != nil
 		for i := 0; len(batch) < b.maxBatch && i < len(b.waiting); {
@@ -322,7 +288,10 @@ func (b *SimBackend) advance(now float64) []ScheduledResult {
 // startBatch serves a gathered batch in one amortized launch: every member
 // occupies the accelerator for segmodel.BatchMs over the members' scaled
 // solo latencies and completes together, then each result rides the
-// downlink in queue order.
+// downlink in queue order. A one-job batch costs exactly its solo latency.
+// The keyframe decision picks each member's cost shape: keyframes run the
+// full model (RunWarped is exactly Run then), non-keyframes charge the
+// partial warp cost.
 func (b *SimBackend) startBatch(batch []waitingOffload, startAt float64, accel int) []ScheduledResult {
 	results := make([]*segmodel.Result, len(batch))
 	solos := make([]float64, len(batch))
@@ -360,40 +329,6 @@ func (b *SimBackend) startBatch(batch []waitingOffload, startAt float64, accel i
 		})
 	}
 	return out
-}
-
-// startInference runs the model for a request whose service begins at
-// startAt on accelerator accel and schedules the result delivery over the
-// downlink. The keyframe decision picks the cost shape: keyframes run the
-// full model (RunWarped is exactly Run then), non-keyframes charge the
-// partial warp cost.
-func (b *SimBackend) startInference(req *OffloadRequest, d segmodel.KeyframeDecision, startAt float64, accel int) ScheduledResult {
-	in := modelInput(b.frames, b.seed, req)
-	res := b.model.RunWarped(in, req.Guidance, d)
-	inferMs := res.TotalMs() * b.inferScale
-	doneAt := startAt + inferMs
-	b.freeAt[accel] = doneAt
-	b.stats.InferMsSum += inferMs
-	b.stats.Results++
-
-	resultBytes := 256
-	for _, d := range res.Detections {
-		if d.Mask != nil {
-			resultBytes += 16 + d.Mask.BoundingBox().Area()/64
-		} else {
-			resultBytes += 32
-		}
-	}
-	b.stats.DownlinkBytes += resultBytes
-	downMs := b.downlink.TransferMs(doneAt, resultBytes)
-	return ScheduledResult{
-		At: doneAt + downMs,
-		Res: EdgeResult{
-			FrameIndex: req.FrameIndex,
-			Detections: res.Detections,
-			InferMs:    inferMs,
-		},
-	}
 }
 
 // modelInput converts the offloaded frame's ground truth plus the encode
@@ -443,7 +378,7 @@ type LoopbackBackend struct {
 	queueDepth int
 	edgeFreeAt float64
 	inflight   int
-	keyframe   keyframeState
+	keyframe   segmodel.KeyframeStream
 	stats      BackendStats
 }
 
@@ -463,7 +398,7 @@ func NewLoopbackBackend(model *segmodel.Model, inferScale float64, seed int64) *
 // edge. Must be called before the first Submit; the zero policy (the
 // default) keeps every frame a keyframe and the schedule unchanged.
 func (b *LoopbackBackend) SetKeyframePolicy(p segmodel.KeyframePolicy) {
-	b.keyframe.policy = p
+	b.keyframe = segmodel.NewKeyframeStream(p)
 }
 
 // Name implements EdgeBackend.
@@ -482,22 +417,24 @@ func (b *LoopbackBackend) Bind(frames []*scene.Frame, queueDepth int) {
 func (b *LoopbackBackend) Submit(req *OffloadRequest, sendAt float64) []ScheduledResult {
 	// Classify before the admission check, mirroring the live scheduler's
 	// decide-at-admission order; a rejected keyframe invalidates the cache.
-	// With the policy off the decision is constant and the overflow path
-	// does no model-input work, exactly as before.
-	var d segmodel.KeyframeDecision
-	if b.keyframe.policy.Enabled() {
-		d = b.keyframe.decide(modelInput(b.frames, b.seed, req), req.Guidance)
-	} else {
-		d = segmodel.KeyframeDecision{Keyframe: true, Reason: segmodel.KeyDisabled}
+	// The model input is built once: before the decision when the policy
+	// needs it, otherwise only for an admitted offload.
+	enabled := b.keyframe.Enabled()
+	var in segmodel.Input
+	if enabled {
+		in = modelInput(b.frames, b.seed, req)
 	}
+	d := b.keyframe.Decide(in, req.Guidance)
 	if b.inflight >= b.queueDepth {
 		b.stats.CountDropped(1)
-		b.keyframe.dropFor(d)
+		b.keyframe.Lost(d)
 		return nil
 	}
 	b.stats.Submitted++
 	b.stats.UplinkBytes += req.PayloadBytes
-	in := modelInput(b.frames, b.seed, req)
+	if !enabled {
+		in = modelInput(b.frames, b.seed, req)
+	}
 	res := b.model.RunWarped(in, req.Guidance, d)
 	inferMs := res.TotalMs() * b.inferScale
 	start := sendAt

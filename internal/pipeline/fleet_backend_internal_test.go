@@ -77,7 +77,7 @@ func TestFleetSimKillMigratesAndRecovers(t *testing.T) {
 	}
 	// The survivor's cache was cold, so frame 5's decision primed it — the
 	// forced post-migration keyframe.
-	if c := b.edges[cur].keyframe.cache; c == nil || !c.Valid() {
+	if !b.edges[cur].keyframe.Warm() {
 		t.Error("post-migration frame did not prime the survivor's cache with a cold keyframe")
 	}
 

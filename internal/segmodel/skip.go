@@ -184,6 +184,58 @@ func (c *FeatureCache) refresh(in Input, g Guidance, boxes []mask.Box) {
 	c.areas = append(c.areas[:0], boxes...)
 }
 
+// KeyframeStream is the skip-compute state of one frame stream: the policy
+// and the stream's feature cache. Every owner of a stream uses it —
+// edge.Session per client, the pipeline backends for their single client,
+// and the loadgen simulator per synthetic session — so the keyframe rules
+// exist once. The zero value is a stream with skip-compute off. Like
+// FeatureCache it is NOT safe for concurrent use.
+type KeyframeStream struct {
+	policy KeyframePolicy
+	cache  *FeatureCache
+}
+
+// NewKeyframeStream returns a cold stream under policy p.
+func NewKeyframeStream(p KeyframePolicy) KeyframeStream { return KeyframeStream{policy: p} }
+
+// Enabled reports whether the stream's policy ever produces non-keyframes.
+func (k *KeyframeStream) Enabled() bool { return k.policy.Enabled() }
+
+// Warm reports whether the stream holds a usable keyframe pyramid.
+func (k *KeyframeStream) Warm() bool { return k.cache.Valid() }
+
+// Decide classifies the stream's next frame, creating the cache on first
+// use. Owners call it exactly once per frame, in arrival order, before
+// admission. With the policy off it returns the constant KeyDisabled
+// keyframe and never touches the cache. A stream without geometry (zero
+// size, nil guidance) reduces to the interval rule: a cold cache or an
+// elapsed interval yields a keyframe, anything else a non-keyframe.
+func (k *KeyframeStream) Decide(in Input, g Guidance) KeyframeDecision {
+	if !k.policy.Enabled() {
+		return KeyframeDecision{Keyframe: true, Reason: KeyDisabled}
+	}
+	if k.cache == nil {
+		k.cache = NewFeatureCache()
+	}
+	return k.policy.Decide(k.cache, in, g)
+}
+
+// Lost records that the frame decided d never reached an accelerator
+// (rejected, shed, dropped or cancelled). Only a lost keyframe matters:
+// its pyramid was never computed, so the cache is invalidated and later
+// frames cannot warp from it. A lost non-keyframe leaves the cached
+// keyframe intact.
+func (k *KeyframeStream) Lost(d KeyframeDecision) {
+	if d.Keyframe && d.Reason != KeyDisabled {
+		k.cache.Invalidate()
+	}
+}
+
+// Reset evicts the cache, so the stream's next frame is a cold keyframe:
+// the session closed, or it migrated and its pyramid stayed on the old
+// replica.
+func (k *KeyframeStream) Reset() { k.cache = nil }
+
 // Decide classifies one frame as keyframe or non-keyframe and updates the
 // cache accordingly: keyframes refresh it, non-keyframes age it. The
 // decision must be made in frame arrival order — it is the only place

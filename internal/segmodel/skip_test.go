@@ -391,3 +391,76 @@ func TestRunBatchWarpedMatchesRunWarped(t *testing.T) {
 		t.Errorf("launchMs = %v, want BatchMs %v", launchMs, BatchMs(solos))
 	}
 }
+
+// TestKeyframeStreamLostAndReset pins the stream's two invalidation rules:
+// a lost non-keyframe keeps the cached keyframe, a lost keyframe drops it,
+// and Reset forces the next frame to be a cold keyframe.
+func TestKeyframeStreamLostAndReset(t *testing.T) {
+	k := NewKeyframeStream(KeyframePolicy{Interval: 8})
+	in := Input{Width: 640, Height: 480}
+	if d := k.Decide(in, nil); !d.Keyframe || d.Reason != KeyCold {
+		t.Fatalf("first decision %+v, want cold keyframe", d)
+	}
+	warp := k.Decide(in, nil)
+	if warp.Keyframe {
+		t.Fatalf("warm stream produced keyframe %q", warp.Reason)
+	}
+	k.Lost(warp)
+	if !k.Warm() {
+		t.Fatal("a lost non-keyframe invalidated the cache")
+	}
+	if d := k.Decide(in, nil); d.Keyframe || d.Age != 2 {
+		t.Fatalf("after lost non-keyframe: %+v, want a warp at age 2", d)
+	}
+	key := k.Decide(Input{Width: 320, Height: 240}, nil)
+	if !key.Keyframe || key.Reason != KeyResolution {
+		t.Fatalf("resolution change: %+v, want keyframe", key)
+	}
+	k.Lost(key)
+	if k.Warm() {
+		t.Fatal("a lost keyframe left the cache warm")
+	}
+	if d := k.Decide(in, nil); !d.Keyframe || d.Reason != KeyCold {
+		t.Fatalf("after lost keyframe: %+v, want cold keyframe", d)
+	}
+	k.Reset()
+	if k.Warm() {
+		t.Fatal("Reset left the cache warm")
+	}
+	if d := k.Decide(in, nil); !d.Keyframe || d.Reason != KeyCold {
+		t.Fatalf("after Reset: %+v, want cold keyframe", d)
+	}
+}
+
+// TestKeyframeStreamDisabled: the zero stream never leaves KeyDisabled and
+// Lost on its decisions is a no-op.
+func TestKeyframeStreamDisabled(t *testing.T) {
+	var k KeyframeStream
+	for i := 0; i < 4; i++ {
+		d := k.Decide(Input{Width: 64, Height: 48}, nil)
+		if !d.Keyframe || d.Reason != KeyDisabled {
+			t.Fatalf("frame %d: %+v, want disabled keyframe", i, d)
+		}
+		k.Lost(d)
+	}
+	if k.Enabled() || k.Warm() {
+		t.Fatal("disabled stream reports enabled or warm")
+	}
+}
+
+// TestKeyframeStreamIntervalOnly pins the reduction the virtual-time
+// simulator relies on: with zero geometry and no guidance, a stream is a
+// pure interval clock — one keyframe every Interval frames.
+func TestKeyframeStreamIntervalOnly(t *testing.T) {
+	const interval = 3
+	k := NewKeyframeStream(KeyframePolicy{Interval: interval})
+	for i := 0; i < 4*interval; i++ {
+		d := k.Decide(Input{}, nil)
+		if want := i%interval == 0; d.Keyframe != want {
+			t.Fatalf("frame %d: keyframe %v (%q), want %v", i, d.Keyframe, d.Reason, want)
+		}
+		if !d.Keyframe && (d.Age != i%interval || d.Churn != 0) {
+			t.Fatalf("frame %d: %+v, want age %d and no churn", i, d, i%interval)
+		}
+	}
+}
