@@ -227,8 +227,9 @@ func TestLostKeyframeInvalidatesCache(t *testing.T) {
 
 // TestSessionCloseEvictsCache: the cache dies with its session.
 func TestSessionCloseEvictsCache(t *testing.T) {
+	policy := segmodel.KeyframePolicy{Interval: 4}
 	s := NewScheduler(Config{Workers: 1,
-		Keyframe:       segmodel.KeyframePolicy{Interval: 4},
+		Keyframe:       policy,
 		NewAccelerator: func(int) Accelerator { return sleepAccel{0} }})
 	defer func() { _ = s.Close() }()
 	sess := s.NewSession("c")
@@ -245,7 +246,10 @@ func TestSessionCloseEvictsCache(t *testing.T) {
 	}
 	sess.Close()
 	sess.mu.Lock()
-	gone := !sess.kf.Warm()
+	// A stream holds only its policy and its cache pointer, so equality
+	// with a fresh stream means the cache itself was dropped, not merely
+	// invalidated.
+	gone := sess.kf == segmodel.NewKeyframeStream(policy)
 	sess.mu.Unlock()
 	if !gone {
 		t.Fatal("Close did not evict the feature cache")

@@ -424,8 +424,8 @@ func TestKeyframeStreamLostAndReset(t *testing.T) {
 		t.Fatalf("after lost keyframe: %+v, want cold keyframe", d)
 	}
 	k.Reset()
-	if k.Warm() {
-		t.Fatal("Reset left the cache warm")
+	if k.cache != nil {
+		t.Fatal("Reset kept the cache allocated")
 	}
 	if d := k.Decide(in, nil); !d.Keyframe || d.Reason != KeyCold {
 		t.Fatalf("after Reset: %+v, want cold keyframe", d)
